@@ -1,4 +1,4 @@
-//! Ablation benchmarks for the design choices DESIGN.md calls out: each
+//! Ablation benchmarks for the model's main design choices: each
 //! pair runs the same workload with one mechanism toggled, and the metric
 //! of interest is the *simulated* join response time (reported via
 //! criterion's output through the returned value; wall time is secondary).

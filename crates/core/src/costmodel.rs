@@ -10,8 +10,8 @@
 //! formula to zero." (§2)
 //!
 //! Reference \[17\] (German BTW'95 paper) is unavailable; we reconstruct the
-//! formula from the same Fig. 4 cost parameters — see DESIGN.md
-//! "Substitutions". The model decomposes single-user response time as
+//! formula from the same Fig. 4 cost parameters. The model decomposes
+//! single-user response time as
 //!
 //! ```text
 //! RT(p) = T_fixed  +  p · t_coord  +  W_join / p  +  T_io(p)

@@ -7,31 +7,11 @@
 //! allocator makes that a hard test rather than a code-review claim.
 //!
 //! This lives in its own integration-test binary because a
-//! `#[global_allocator]` is process-wide.
+//! `#[global_allocator]` is process-wide; the counts themselves are
+//! per thread, so tests running in parallel do not see each other.
 
 use lb_core::{ControlNode, ReadMode, ResourceKind, ResourceVector};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
+use simkit::alloc_audit::{self, CountingAlloc};
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -48,7 +28,7 @@ fn vector(i: u64) -> ResourceVector {
 
 /// Drive the full report → read → assign cycle and count allocations.
 fn cycle_allocs(ctl: &mut ControlNode, n: usize, rounds: u64) -> u64 {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = alloc_audit::thread_stats().allocs;
     for round in 0..rounds {
         for pe in 0..n as u64 {
             ctl.report(pe as u32, vector(pe * 7 + round));
@@ -64,7 +44,7 @@ fn cycle_allocs(ctl: &mut ControlNode, n: usize, rounds: u64) -> u64 {
         let _ = ctl.by_util(ResourceKind::Disk);
         ctl.note_assignment(&[busiest, roomiest, head], 2);
     }
-    ALLOCS.load(Ordering::Relaxed) - before
+    alloc_audit::thread_stats().allocs - before
 }
 
 #[test]

@@ -26,8 +26,8 @@
 //! minimum — this is what gradually drains co-located joins on OLTP nodes
 //! and produces the memory-contention behaviour of §5.3. Steals never push
 //! a join below its minimum (the paper additionally suspends joins in that
-//! corner case; capping at the minimum preserves the observable behaviour —
-//! see DESIGN.md).
+//! corner case; capping at the minimum preserves the observable
+//! behaviour).
 //!
 //! ### Free-memory metric
 //!

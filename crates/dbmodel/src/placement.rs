@@ -38,14 +38,22 @@ pub struct Fragment {
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct RelationPlacement {
     fragments: Vec<Fragment>,
-    /// Derived cache: `tuples_by_pe[pe]` = tuples homed at `pe`. OLTP
+    /// Derived cache: `by_pe[pe]` = what is homed at `pe`. OLTP
     /// affinity routing asks [`RelationPlacement::tuples_at`] several
     /// times per transaction; a linear scan over 1000+ fragments there
     /// dominated the whole event loop at thousand-PE scale. Rebuilt at
     /// construction and patched on [`PartitionMap::move_fragment`];
     /// empty (e.g. after deserialization) falls back to the scan.
     #[serde(skip)]
-    tuples_by_pe: Vec<u64>,
+    by_pe: Vec<PeShare>,
+}
+
+/// The part of one relation homed at one PE. (The serde derives only
+/// satisfy the container's derive; the cache itself is never serialized.)
+#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+struct PeShare {
+    tuples: u64,
+    fragments: u32,
 }
 
 /// Equality is over the fragments only: the per-PE cache is derived
@@ -58,11 +66,21 @@ impl PartialEq for RelationPlacement {
 
 impl Eq for RelationPlacement {}
 
-fn tuples_by_pe(fragments: &[Fragment]) -> Vec<u64> {
-    let len = fragments.iter().map(|f| f.pe + 1).max().unwrap_or(0);
-    let mut v = vec![0u64; len as usize];
+/// One past the highest home PE id.
+fn pe_span(fragments: &[Fragment]) -> usize {
+    fragments
+        .iter()
+        .map(|f| f.pe as usize + 1)
+        .max()
+        .unwrap_or(0)
+}
+
+fn by_pe(fragments: &[Fragment]) -> Vec<PeShare> {
+    let mut v = vec![PeShare::default(); pe_span(fragments)];
     for f in fragments {
-        v[f.pe as usize] += f.tuples;
+        let s = &mut v[f.pe as usize];
+        s.tuples += f.tuples;
+        s.fragments += 1;
     }
     v
 }
@@ -150,10 +168,9 @@ impl RelationPlacement {
     }
 
     fn from_fragments(fragments: Vec<Fragment>) -> RelationPlacement {
-        let tuples_by_pe = tuples_by_pe(&fragments);
         RelationPlacement {
+            by_pe: by_pe(&fragments),
             fragments,
-            tuples_by_pe,
         }
     }
 
@@ -186,7 +203,7 @@ impl RelationPlacement {
     /// O(1) via the derived per-PE cache; the scan fallback only runs on
     /// deserialized values that never saw a constructor.
     pub fn tuples_at(&self, pe: u32) -> u64 {
-        if self.tuples_by_pe.is_empty() && !self.fragments.is_empty() {
+        if self.by_pe.is_empty() && !self.fragments.is_empty() {
             return self
                 .fragments
                 .iter()
@@ -194,25 +211,31 @@ impl RelationPlacement {
                 .map(|f| f.tuples)
                 .sum();
         }
-        self.tuples_by_pe.get(pe as usize).copied().unwrap_or(0)
+        self.by_pe.get(pe as usize).map_or(0, |s| s.tuples)
     }
 
     /// Distinct home PEs in first-appearance (fragment-index) order: the
     /// scan fan-out set. For the paper's uniform placement this is the old
     /// contiguous `first_pe..first_pe + pe_count` range, in order.
+    /// O(fragments + PEs).
     pub fn home_pes(&self) -> Vec<u32> {
-        let mut pes = Vec::with_capacity(self.fragments.len());
+        let mut seen = vec![false; pe_span(&self.fragments)];
+        let mut pes = Vec::new();
         for f in &self.fragments {
-            if !pes.contains(&f.pe) {
+            if !std::mem::replace(&mut seen[f.pe as usize], true) {
                 pes.push(f.pe);
             }
         }
         pes
     }
 
-    /// Number of distinct home PEs.
+    /// Number of distinct home PEs. O(PEs) from the per-PE cache, without
+    /// allocating.
     pub fn home_pe_count(&self) -> u32 {
-        self.home_pes().len() as u32
+        if self.by_pe.is_empty() && !self.fragments.is_empty() {
+            return self.home_pes().len() as u32;
+        }
+        self.by_pe.iter().filter(|s| s.fragments > 0).count() as u32
     }
 
     /// Page offset of fragment `index` within its home PE's per-object
@@ -275,14 +298,18 @@ impl PartitionMap {
         let from = f.pe;
         f.pe = to;
         let tuples = f.tuples;
-        if rp.tuples_by_pe.is_empty() {
-            rp.tuples_by_pe = tuples_by_pe(&rp.fragments);
+        if rp.by_pe.is_empty() {
+            rp.by_pe = by_pe(&rp.fragments);
         } else {
-            rp.tuples_by_pe[from as usize] -= tuples;
-            if rp.tuples_by_pe.len() <= to as usize {
-                rp.tuples_by_pe.resize(to as usize + 1, 0);
+            let src = &mut rp.by_pe[from as usize];
+            src.tuples -= tuples;
+            src.fragments -= 1;
+            if rp.by_pe.len() <= to as usize {
+                rp.by_pe.resize(to as usize + 1, PeShare::default());
             }
-            rp.tuples_by_pe[to as usize] += tuples;
+            let dst = &mut rp.by_pe[to as usize];
+            dst.tuples += tuples;
+            dst.fragments += 1;
         }
         tuples
     }
@@ -361,6 +388,25 @@ mod tests {
         assert_eq!(homes, vec![4, 4, 4, 5, 5, 6, 6], "contiguous blocks");
         assert_eq!(p.home_pes(), vec![4, 5, 6]);
         assert_eq!(p.total_tuples(), 100);
+    }
+
+    #[test]
+    fn home_pes_follow_migration_in_first_appearance_order() {
+        // Homes 0,0,1,1,2,2,3,3.
+        let mut map = PartitionMap::new();
+        map.push(RelationPlacement::skewed(800, 0, 4, 8, 0.0));
+        map.move_fragment(0, 0, 9);
+        assert_eq!(map.relation(0).home_pes(), vec![9, 0, 1, 2, 3]);
+        assert_eq!(map.relation(0).home_pe_count(), 5);
+        // PE 0 loses its last fragment; PE 9 stays first.
+        map.move_fragment(0, 1, 9);
+        assert_eq!(map.relation(0).home_pes(), vec![9, 1, 2, 3]);
+        assert_eq!(map.relation(0).home_pe_count(), 4);
+        // Empty fragments still make their PE a home.
+        let tiny = RelationPlacement::skewed(2, 0, 6, 6, 2.0);
+        assert!(tiny.fragments().iter().any(|f| f.tuples == 0));
+        assert_eq!(tiny.home_pes(), vec![0, 1, 2, 3, 4, 5]);
+        assert_eq!(tiny.home_pe_count(), 6);
     }
 
     #[test]

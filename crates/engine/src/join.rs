@@ -18,6 +18,7 @@ use dbmodel::catalog::RelationId;
 use dbmodel::lock::TxnToken;
 use simkit::slab::SlabKey;
 use simkit::SimTime;
+use std::sync::Arc;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum CState {
@@ -439,6 +440,8 @@ impl JoinJob {
             )));
         }
         let txn = self.txn(job);
+        // One fan-out list for every scan task of this placement.
+        let dests: Arc<[PeId]> = self.placement.as_slice().into();
         // Inner (A) scan tasks, one per fragment.
         for &(frag, pe) in self.a_frags.clone().iter() {
             let tid = self.tasks.len() as TaskId;
@@ -448,7 +451,7 @@ impl JoinJob {
                 pe,
                 self.coord,
                 JoinPhase::Build,
-                self.placement.clone(),
+                dests.clone(),
                 ScanSource::Fragment {
                     relation: self.inner,
                     fragment: frag,
@@ -480,7 +483,7 @@ impl JoinJob {
                 pe,
                 self.coord,
                 JoinPhase::Probe,
-                self.placement.clone(),
+                dests.clone(),
                 source,
                 txn,
             );
@@ -523,7 +526,6 @@ impl JoinJob {
                     relation: self.inner,
                     selectivity: self.selectivity,
                     phase: JoinPhase::Build,
-                    dests: self.placement.clone(),
                 },
             );
         }
@@ -544,7 +546,6 @@ impl JoinJob {
                     relation: self.outer,
                     selectivity: self.selectivity,
                     phase: JoinPhase::Probe,
-                    dests: self.placement.clone(),
                 },
             );
         }

@@ -5,8 +5,9 @@
 //! materialized at the coordinator (which received the previous stage's
 //! result stream) and re-redistributed from there; every stage asks the
 //! load balancer for a fresh placement, so a three-way join exercises the
-//! strategy twice under the then-current system state. See DESIGN.md for
-//! the materialization simplification relative to a pipelined executor.
+//! strategy twice under the then-current system state. Materializing the
+//! intermediate, rather than pipelining it into the next stage, is a
+//! simplification of this model.
 
 use crate::api::{Input, JobId, PeId};
 use crate::ctx::Ctx;

@@ -142,6 +142,8 @@ impl ScanQueryJob {
             .enumerate()
             .map(|(i, f)| (i as u32, f.pe))
             .collect();
+        // No consumers: results stream to the coordinator.
+        let no_dests: std::sync::Arc<[PeId]> = std::sync::Arc::new([]);
         for (i, &(frag, pe)) in frags.iter().enumerate() {
             self.tasks.push(ScanTask::new(
                 job,
@@ -149,7 +151,7 @@ impl ScanQueryJob {
                 pe,
                 self.coord,
                 JoinPhase::Build,
-                Vec::new(), // results to coordinator
+                no_dests.clone(),
                 ScanSource::Fragment {
                     relation: self.relation,
                     fragment: frag,
@@ -168,7 +170,6 @@ impl ScanQueryJob {
                     relation: self.relation,
                     selectivity: self.selectivity,
                     phase: JoinPhase::Build,
-                    dests: Vec::new(),
                 },
             );
         }

@@ -19,6 +19,7 @@ use dbmodel::btree::{BTreeModel, ScanPlan};
 use dbmodel::catalog::{PageAddr, RelationId};
 use dbmodel::lock::{LockMode, LockOutcome, TxnToken};
 use hardware::IoKind;
+use std::sync::Arc;
 
 /// Exact total scan output (tuples) of a clustered-index selection over
 /// all fragments — matches what the per-fragment [`ScanTask`] plans emit,
@@ -69,6 +70,15 @@ enum State {
     Done,
 }
 
+/// Weighted round-robin state of a skewed partitioning function.
+#[derive(Debug)]
+struct Skew {
+    /// Per-destination shares, normalized.
+    weights: Vec<f64>,
+    /// Deterministic WRR credit per destination.
+    credit: Vec<f64>,
+}
+
 /// One scan subquery instance.
 #[derive(Debug)]
 pub struct ScanTask {
@@ -77,15 +87,14 @@ pub struct ScanTask {
     pub pe: PeId,
     pub coord: PeId,
     pub phase: JoinPhase,
-    /// Consumers; empty → results to coordinator.
-    pub dests: Vec<PeId>,
+    /// Consumers; empty → results to coordinator. One list per placement,
+    /// shared by all of a job's scan tasks.
+    pub dests: Arc<[PeId]>,
     source: ScanSource,
     txn: TxnToken,
-    /// Per-destination redistribution weights (normalized); `None` means
-    /// uniform round-robin. Skewed partitioning functions (§7 outlook)
-    /// send unequal subjoin shares.
-    weights: Option<Vec<f64>>,
-    credit: Vec<f64>,
+    /// Skewed partitioning function (§7 outlook); `None` means uniform
+    /// round-robin. Boxed: only skewed joins pay for it.
+    skew: Option<Box<Skew>>,
 
     state: State,
     // plan
@@ -102,7 +111,7 @@ pub struct ScanTask {
     pages_done: u64,
     read_done: u64,
     out_done: u64,
-    out_acc: Vec<u32>,
+    out_acc: Box<[u32]>,
     next_dest: usize,
     io_pending_instr: u64,
     pub pages_io: u64,
@@ -116,7 +125,7 @@ impl ScanTask {
         pe: PeId,
         coord: PeId,
         phase: JoinPhase,
-        dests: Vec<PeId>,
+        dests: Arc<[PeId]>,
         source: ScanSource,
         txn: TxnToken,
     ) -> ScanTask {
@@ -129,8 +138,7 @@ impl ScanTask {
             dests,
             source,
             txn,
-            weights: None,
-            credit: Vec::new(),
+            skew: None,
             state: State::Created,
             index_pages: 0,
             data_pages: 0,
@@ -142,7 +150,7 @@ impl ScanTask {
             pages_done: 0,
             read_done: 0,
             out_done: 0,
-            out_acc: Vec::new(),
+            out_acc: Box::default(),
             next_dest: 0,
             io_pending_instr: 0,
             pages_io: 0,
@@ -158,7 +166,10 @@ impl ScanTask {
         debug_assert_eq!(weights.len(), self.dests.len().max(1));
         let total: f64 = weights.iter().sum();
         if total > 0.0 {
-            self.weights = Some(weights.iter().map(|w| w / total).collect());
+            self.skew = Some(Box::new(Skew {
+                credit: vec![0.0; weights.len()],
+                weights: weights.iter().map(|w| w / total).collect(),
+            }));
         }
     }
 
@@ -203,9 +214,7 @@ impl ScanTask {
                 self.tuples_out_total = *tuples;
             }
         }
-        let slots = self.dests.len().max(1);
-        self.out_acc = vec![0; slots];
-        self.credit = vec![0.0; slots];
+        self.out_acc = vec![0; self.dests.len().max(1)].into_boxed_slice();
     }
 
     /// Entry point: the StartScan message was received.
@@ -400,23 +409,23 @@ impl ScanTask {
     fn stage_outputs(&mut self, outs: u64) {
         self.out_done += outs;
         let k = self.out_acc.len();
-        match &self.weights {
+        match self.skew.as_deref_mut() {
             None => {
                 for _ in 0..outs {
                     self.out_acc[self.next_dest % k] += 1;
                     self.next_dest += 1;
                 }
             }
-            Some(w) => {
+            Some(Skew { weights, credit }) => {
                 for _ in 0..outs {
                     let mut best = 0usize;
-                    for (i, wi) in w.iter().enumerate().take(k) {
-                        self.credit[i] += wi;
-                        if self.credit[i] > self.credit[best] {
+                    for (i, wi) in weights.iter().enumerate().take(k) {
+                        credit[i] += wi;
+                        if credit[i] > credit[best] {
                             best = i;
                         }
                     }
-                    self.credit[best] -= 1.0;
+                    credit[best] -= 1.0;
                     self.out_acc[best] += 1;
                 }
             }
@@ -517,6 +526,10 @@ impl ScanTask {
                 );
             }
         }
+        // Nothing reads the output buffers again; a finished scan keeps
+        // only its counters until the job commits.
+        self.out_acc = Box::default();
+        self.skew = None;
         self.state = State::Done;
     }
 

@@ -518,6 +518,8 @@ impl SortQueryJob {
     fn start_scans(&mut self, job: JobId, ctx: &mut Ctx) {
         self.state = QState::Running;
         let txn = self.txn(job);
+        // One fan-out list for every scan task of this placement.
+        let dests: std::sync::Arc<[PeId]> = self.placement.as_slice().into();
         for &(frag, pe) in self.scan_frags.clone().iter() {
             let tid = self.tasks.len() as TaskId;
             self.tasks.push(STask::Scan(ScanTask::new(
@@ -526,7 +528,7 @@ impl SortQueryJob {
                 pe,
                 self.coord,
                 JoinPhase::Build,
-                self.placement.clone(),
+                dests.clone(),
                 ScanSource::Fragment {
                     relation: self.relation,
                     fragment: frag,
@@ -545,7 +547,6 @@ impl SortQueryJob {
                     relation: self.relation,
                     selectivity: self.selectivity,
                     phase: JoinPhase::Build,
-                    dests: self.placement.clone(),
                 },
             );
         }

@@ -134,7 +134,7 @@ fn scan_emits_exact_output_with_last_flags() {
         0,
         9,
         JoinPhase::Build,
-        vec![5, 6, 7, 8],
+        vec![5, 6, 7, 8].into(),
         ScanSource::Fragment {
             relation: dbmodel::RelationId(0),
             fragment: 0,
@@ -186,7 +186,7 @@ fn scan_weighted_distribution_respects_weights() {
         0,
         9,
         JoinPhase::Build,
-        vec![5, 6],
+        vec![5, 6].into(),
         ScanSource::Memory { tuples: 1_000 },
         t,
     );
@@ -338,4 +338,17 @@ fn pphj_sheds_memory_when_stolen() {
         join.spill_pages_written > 0,
         "losing all but 2 of {before} pages must force spills"
     );
+}
+
+/// The per-task and per-message records stay compact: a join holds
+/// thousands of scan tasks and the fabric carries millions of messages.
+/// Skew state is boxed and the fan-out list is one shared `Arc` per
+/// placement, so neither grows these records.
+#[test]
+fn task_and_message_records_stay_compact() {
+    use std::mem::size_of;
+    let task = size_of::<engine::join::Task>();
+    assert!(task <= 192, "join Task grew to {task} bytes");
+    let msg = size_of::<MsgKind>();
+    assert!(msg <= 32, "MsgKind grew to {msg} bytes");
 }

@@ -70,7 +70,7 @@ impl Default for DiskParams {
 }
 
 /// Interconnection network configuration, calibrated to the EDS prototype
-/// (packet-switched, scalable; see DESIGN.md "Substitutions").
+/// (packet-switched, scalable).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NetParams {
     /// Fixed packet payload size in bytes.

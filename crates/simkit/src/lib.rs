@@ -13,12 +13,15 @@
 //!   model needs (exponential, uniform, Zipf, sampling without replacement),
 //! * [`stats`] — online statistics (Welford mean/variance, time-weighted
 //!   integrals, histograms, batch means for confidence intervals),
-//! * [`Slab`] — a tiny generational id allocator for live jobs.
+//! * [`Slab`] — a tiny generational id allocator for live jobs,
+//! * [`alloc_audit`] — a per-thread counting allocator for allocation-audit
+//!   tests.
 //!
 //! All components are allocation-conscious and deterministic: the simulator
 //! built on top is single-threaded, and two runs with equal seeds produce
 //! bit-identical results.
 
+pub mod alloc_audit;
 pub mod calendar;
 pub mod dispatch;
 pub mod fxhash;

@@ -4,6 +4,12 @@
 //! Entries live in a slab of nodes linked into a doubly-linked recency list;
 //! a `HashMap` provides O(1) key lookup. Eviction returns the victim so the
 //! caller can model write-back of dirty pages.
+//!
+//! Nothing is allocated up front: a thousand-PE system builds thousands of
+//! these, most of which never fill. The index and the node slab grow on
+//! demand and stop at `capacity` entries — the slab grows by doubling but
+//! is clamped to `capacity`, and the index is never larger than one sized
+//! for `capacity + 1` entries at construction would be.
 
 use crate::fxhash::FxHashMap;
 use std::hash::Hash;
@@ -17,7 +23,7 @@ struct Node<K, V> {
     next: u32,
 }
 
-/// Fixed-capacity LRU map.
+/// Fixed-capacity LRU map; storage grows with occupancy.
 pub struct LruMap<K, V> {
     map: FxHashMap<K, u32>,
     nodes: Vec<Node<K, V>>,
@@ -28,12 +34,13 @@ pub struct LruMap<K, V> {
 }
 
 impl<K: Eq + Hash + Clone, V> LruMap<K, V> {
-    /// Create an LRU with the given capacity (≥ 1).
+    /// Create an empty LRU with the given capacity (≥ 1). Allocates
+    /// nothing.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity >= 1, "LRU capacity must be positive");
         LruMap {
-            map: FxHashMap::with_capacity_and_hasher(capacity + 1, Default::default()),
-            nodes: Vec::with_capacity(capacity.min(1 << 20)),
+            map: FxHashMap::default(),
+            nodes: Vec::new(),
             free: Vec::new(),
             head: NIL,
             tail: NIL,
@@ -145,6 +152,13 @@ impl<K: Eq + Hash + Clone, V> LruMap<K, V> {
                 i
             }
             None => {
+                // Only reached with every node live, so `len < capacity`:
+                // double, but never past `capacity`.
+                let len = self.nodes.len();
+                if len == self.nodes.capacity() {
+                    let grow = len.max(4).min(self.capacity - len);
+                    self.nodes.reserve_exact(grow);
+                }
                 self.nodes.push(Node {
                     key: key.clone(),
                     value: Some(value),
@@ -275,56 +289,72 @@ mod tests {
         assert_eq!(k, 1, "peek must not refresh recency");
     }
 
-    proptest! {
-        /// Behaviour matches a naive VecDeque-based reference model.
-        #[test]
-        fn prop_matches_reference(ops in proptest::collection::vec((0u8..3, 0u32..12), 1..500)) {
-            let cap = 4;
-            let mut lru = LruMap::new(cap);
-            let mut model: VecDeque<(u32, u32)> = VecDeque::new(); // front = MRU
-            for (op, key) in ops {
-                match op {
-                    0 => {
-                        // insert key -> key*10
-                        let evicted = lru.insert(key, key * 10);
-                        if let Some(pos) = model.iter().position(|(k, _)| *k == key) {
-                            model.remove(pos);
-                            model.push_front((key, key * 10));
+    /// Capacities around the storage growth steps: the slab doubles from
+    /// 4 and the index's usable size goes 3, 7, 14, 28, … as it doubles.
+    const PROP_CAPACITIES: [usize; 10] = [1, 3, 4, 5, 7, 8, 14, 15, 28, 29];
+
+    /// Replay `ops` against an LRU of capacity `cap` and a naive
+    /// VecDeque-based reference model; keys span twice the capacity so
+    /// evictions are common.
+    fn check_against_reference(cap: usize, ops: &[(u8, u32)]) -> Result<(), TestCaseError> {
+        let mut lru = LruMap::new(cap);
+        let mut model: VecDeque<(u32, u32)> = VecDeque::new(); // front = MRU
+        for &(op, raw) in ops {
+            let key = raw % (2 * cap as u32 + 2);
+            match op {
+                0 => {
+                    // insert key -> key*10
+                    let evicted = lru.insert(key, key * 10);
+                    if let Some(pos) = model.iter().position(|(k, _)| *k == key) {
+                        model.remove(pos);
+                        model.push_front((key, key * 10));
+                        prop_assert!(evicted.is_none());
+                    } else {
+                        if model.len() == cap {
+                            let victim = model.pop_back().unwrap();
+                            prop_assert_eq!(evicted, Some(victim));
+                        } else {
                             prop_assert!(evicted.is_none());
-                        } else {
-                            if model.len() == cap {
-                                let victim = model.pop_back().unwrap();
-                                prop_assert_eq!(evicted, Some(victim));
-                            } else {
-                                prop_assert!(evicted.is_none());
-                            }
-                            model.push_front((key, key * 10));
                         }
-                    }
-                    1 => {
-                        let got = lru.get(&key).copied();
-                        if let Some(pos) = model.iter().position(|(k, _)| *k == key) {
-                            let e = model.remove(pos).unwrap();
-                            prop_assert_eq!(got, Some(e.1));
-                            model.push_front(e);
-                        } else {
-                            prop_assert!(got.is_none());
-                        }
-                    }
-                    _ => {
-                        let got = lru.remove(&key);
-                        if let Some(pos) = model.iter().position(|(k, _)| *k == key) {
-                            let e = model.remove(pos).unwrap();
-                            prop_assert_eq!(got, Some(e.1));
-                        } else {
-                            prop_assert!(got.is_none());
-                        }
+                        model.push_front((key, key * 10));
                     }
                 }
-                prop_assert_eq!(lru.len(), model.len());
-                let order: Vec<u32> = lru.iter_mru().map(|(k, _)| *k).collect();
-                let model_order: Vec<u32> = model.iter().map(|(k, _)| *k).collect();
-                prop_assert_eq!(order, model_order);
+                1 => {
+                    let got = lru.get(&key).copied();
+                    if let Some(pos) = model.iter().position(|(k, _)| *k == key) {
+                        let e = model.remove(pos).unwrap();
+                        prop_assert_eq!(got, Some(e.1));
+                        model.push_front(e);
+                    } else {
+                        prop_assert!(got.is_none());
+                    }
+                }
+                _ => {
+                    let got = lru.remove(&key);
+                    if let Some(pos) = model.iter().position(|(k, _)| *k == key) {
+                        let e = model.remove(pos).unwrap();
+                        prop_assert_eq!(got, Some(e.1));
+                    } else {
+                        prop_assert!(got.is_none());
+                    }
+                }
+            }
+            prop_assert_eq!(lru.len(), model.len());
+            prop_assert!(lru.nodes.capacity() <= cap, "slab grew past capacity");
+            let order: Vec<u32> = lru.iter_mru().map(|(k, _)| *k).collect();
+            let model_order: Vec<u32> = model.iter().map(|(k, _)| *k).collect();
+            prop_assert_eq!(order, model_order);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        /// Behaviour matches the reference model at every capacity in
+        /// [`PROP_CAPACITIES`], while storage grows from empty.
+        #[test]
+        fn prop_matches_reference(ops in proptest::collection::vec((0u8..3, 0u32..64), 1..500)) {
+            for cap in PROP_CAPACITIES {
+                check_against_reference(cap, &ops)?;
             }
         }
     }

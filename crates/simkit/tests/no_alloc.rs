@@ -9,48 +9,24 @@
 //! not allocator traffic.
 //!
 //! Lives in its own integration-test binary because a
-//! `#[global_allocator]` is process-wide.
+//! `#[global_allocator]` is process-wide; the counts themselves are
+//! per thread, so tests running in parallel do not see each other.
 
-use simkit::{EventQueue, ItemKey, LaneLog, MergeCursor, QueueKind, SimDur, SimTime};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
+use simkit::alloc_audit::{self, CountingAlloc};
+use simkit::{EventQueue, ItemKey, LaneLog, LruMap, MergeCursor, QueueKind, SimDur, SimTime};
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// The counter is process-wide, so tests must not overlap: each takes
-/// this lock for its whole measurement window.
-static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
 /// Hold the queue at constant depth: pop one event, push its follow-up a
 /// little later — the steady state of every hardware server model.
 fn cycle_allocs(q: &mut EventQueue<u64>, steps: u64) -> u64 {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = alloc_audit::thread_stats().allocs;
     for _ in 0..steps {
         let (t, ev) = q.pop_next().expect("queue stays non-empty");
         q.at(t + SimDur::from_micros(100 + ev % striped(ev)), ev);
     }
-    ALLOCS.load(Ordering::Relaxed) - before
+    alloc_audit::thread_stats().allocs - before
 }
 
 /// Deterministic per-event jitter so pushes spread across calendar days.
@@ -72,7 +48,6 @@ fn warmed_queue(kind: QueueKind, warmup_steps: u64) -> EventQueue<u64> {
 /// means that vector never regrows.
 #[test]
 fn event_heap_steady_state_is_allocation_free() {
-    let _serial = SERIAL.lock().unwrap();
     let mut q = warmed_queue(QueueKind::BinaryHeap, 4096);
     let steady = cycle_allocs(&mut q, 100_000);
     assert_eq!(
@@ -99,7 +74,6 @@ fn event_heap_steady_state_is_allocation_free() {
 /// sequence burn.
 #[test]
 fn window_machinery_steady_state_is_allocation_free() {
-    let _serial = SERIAL.lock().unwrap();
     const LANES: usize = 4;
     const WINDOW: usize = 32;
     let mut q: EventQueue<u64> = EventQueue::with_kind(QueueKind::BinaryHeap, 1 << 10);
@@ -111,7 +85,7 @@ fn window_machinery_steady_state_is_allocation_free() {
     let mut active: Vec<u32> = Vec::new();
     let mut merge = MergeCursor::new();
     let mut cycle = |q: &mut EventQueue<u64>, windows: usize| -> u64 {
-        let before = ALLOCS.load(Ordering::Relaxed);
+        let before = alloc_audit::thread_stats().allocs;
         for _ in 0..windows {
             active.clear();
             for it in items.iter_mut() {
@@ -150,7 +124,7 @@ fn window_machinery_steady_state_is_allocation_free() {
             merge.begin(&logs, &active);
             while merge.replay_next(q, &mut logs).is_some() {}
         }
-        ALLOCS.load(Ordering::Relaxed) - before
+        alloc_audit::thread_stats().allocs - before
     };
     let _warm = cycle(&mut q, 64);
     let steady = cycle(&mut q, 2048);
@@ -163,7 +137,6 @@ fn window_machinery_steady_state_is_allocation_free() {
 
 #[test]
 fn calendar_queue_steady_state_allocations_amortize_away() {
-    let _serial = SERIAL.lock().unwrap();
     let mut q = warmed_queue(QueueKind::Calendar, 104_096);
     let steady = cycle_allocs(&mut q, 400_000);
     assert!(
@@ -171,4 +144,13 @@ fn calendar_queue_steady_state_allocations_amortize_away() {
         "calendar FEL allocated {steady} times over 400k steady-state events (> 0.25%)"
     );
     assert_eq!(q.len(), 512);
+}
+
+/// An LRU costs nothing until it is used: a thousand-PE system builds
+/// thousands of page caches, most of which never fill.
+#[test]
+fn lru_new_allocates_nothing() {
+    let (lru, stats) = alloc_audit::measure(|| LruMap::<(u64, u64), ()>::new(100_000));
+    assert_eq!(stats, alloc_audit::AllocStats::default());
+    assert_eq!(lru.capacity(), 100_000);
 }

@@ -283,7 +283,7 @@ impl Metrics {
     }
 }
 
-/// Final run summary (serializable for EXPERIMENTS.md provenance).
+/// Final run summary (serializable into the lab's `results/` files).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Summary {
     pub n_pes: u32,

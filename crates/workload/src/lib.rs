@@ -19,7 +19,7 @@
 //!   [`scenario::ScenarioSpec`] describing a base point plus
 //!   parameter sweeps, expanded into labelled runs by the scenario lab;
 //! * [`trace`] — a compact binary trace format (writer/reader/synthesizer)
-//!   standing in for the real-life traces of \[18\] (see DESIGN.md).
+//!   standing in for the real-life traces of \[18\].
 
 pub mod arrivals;
 pub mod mix;

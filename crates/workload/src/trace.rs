@@ -4,7 +4,7 @@
 //! supported workload source. Those traces are not available; this module
 //! provides the equivalent machinery — a trace format with writer/reader
 //! and a synthesizer producing statistically similar traces — so trace
-//! replay exercises the same code path (see DESIGN.md "Substitutions").
+//! replay exercises the same code path.
 //!
 //! Format: little-endian records
 //! `[at_ns: u64][class: u16][kind: u8][coordinator: u16][payload: u32]`

@@ -1,6 +1,6 @@
 //! Trace tooling: synthesize a workload trace, round-trip it through the
 //! binary codec, and report its statistics — the stand-in for the paper's
-//! "real-life database traces" input path (see DESIGN.md).
+//! "real-life database traces" input path.
 //!
 //! Run with: `cargo run --release --example trace_replay`
 

@@ -13,54 +13,26 @@
 //!   allocator traffic to the soak hot path.
 //!
 //! Lives in its own integration-test binary because a
-//! `#[global_allocator]` is process-wide; every test takes the SERIAL
-//! lock for its whole measurement window. Simulations here run with
-//! `tick_threads`/`exec_threads` at 0 so no worker-thread allocations
-//! pollute the counts.
+//! `#[global_allocator]` is process-wide; the counts themselves are per
+//! thread. Simulations here run with `tick_threads`/`exec_threads` at 0,
+//! so all of their work happens on the measuring thread.
 
 use parallel_lb::prelude::*;
+use simkit::alloc_audit::{self, CountingAlloc};
 use snsim::metrics::WaitHist;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// The counter is process-wide, so tests must not overlap: each takes
-/// this lock for its whole measurement window.
-static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
 fn allocs_during<R>(f: impl FnOnce() -> R) -> (R, u64) {
-    let before = ALLOCS.load(Ordering::Relaxed);
-    let r = f();
-    (r, ALLOCS.load(Ordering::Relaxed) - before)
+    let (r, stats) = alloc_audit::measure(f);
+    (r, stats.allocs)
 }
 
 /// Recording and querying the queue-wait histogram never touches the
 /// heap: the buckets are a fixed inline array.
 #[test]
 fn wait_hist_is_strictly_allocation_free() {
-    let _serial = SERIAL.lock().unwrap();
     let mut hist = WaitHist::default();
     let (_, n) = allocs_during(|| {
         for i in 0..10_000u64 {
@@ -96,7 +68,6 @@ fn soak_cfg() -> SimConfig {
 /// the comparison is exact, not statistical).
 #[test]
 fn disabled_trace_layer_allocates_nothing_extra() {
-    let _serial = SERIAL.lock().unwrap();
     // Warm-up run so lazily initialized process state (malloc arenas,
     // stdio locks) does not skew the first measurement.
     let _ = snsim::run_one(soak_cfg());

@@ -1,6 +1,6 @@
 //! Qualitative reproduction tests: the headline claims of §5 must hold in
 //! short runs (full figures use the bench harnesses). These are the
-//! "shape" assertions of DESIGN.md's verification plan.
+//! "shape" assertions the figure binaries also print.
 
 use parallel_lb::prelude::*;
 
