@@ -321,18 +321,58 @@ impl EngineConfig {
     }
 }
 
-/// Split `t` items into `k` near-equal parts (deterministic remainder to
-/// the lowest indices) — models uniform hash partitioning of a batch.
-pub fn split_even(t: u64, k: u32) -> Vec<u64> {
-    let k = k.max(1) as u64;
-    let base = t / k;
-    let rem = t % k;
-    (0..k).map(|i| base + u64::from(i < rem)).collect()
+/// `t` items split into `k` near-equal parts, with the `t % k` parts that
+/// get one item more starting at part `rot` and wrapping around — models
+/// uniform hash partitioning of a batch. Each share is computed from its
+/// index, so a split allocates nothing.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RotatedSplit {
+    k: u32,
+    base: u64,
+    rem: u32,
+    rot: u32,
+}
+
+impl RotatedSplit {
+    pub(crate) fn new(t: u64, k: u32, rot: u32) -> RotatedSplit {
+        let k = k.max(1);
+        RotatedSplit {
+            k,
+            base: t / k as u64,
+            rem: (t % k as u64) as u32,
+            rot: rot % k,
+        }
+    }
+
+    /// Number of parts (at least one).
+    pub(crate) fn parts(&self) -> usize {
+        self.k as usize
+    }
+
+    /// Share of part `i` (`i < parts()`).
+    #[inline]
+    pub(crate) fn share(&self, i: usize) -> u64 {
+        // Rotating right by `rot` moves unrotated part `j` to
+        // `(j + rot) % k`; part `i` holds the one below `rem` or not.
+        let k = self.k as u64;
+        let j = (i as u64 + k - self.rot as u64) % k;
+        self.base + u64::from(j < self.rem as u64)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Split `t` items into `k` near-equal parts (deterministic remainder
+    /// to the lowest indices). Rotated right by `rot`, it is the reference
+    /// [`RotatedSplit`] is checked against.
+    fn split_even(t: u64, k: u32) -> Vec<u64> {
+        let k = k.max(1) as u64;
+        let base = t / k;
+        let rem = t % k;
+        (0..k).map(|i| base + u64::from(i < rem)).collect()
+    }
 
     #[test]
     fn recv_and_send_costs_scale_with_size() {
@@ -365,6 +405,28 @@ mod tests {
             let max = *parts.iter().max().unwrap();
             let min = *parts.iter().min().unwrap();
             assert!(max - min <= 1);
+        }
+    }
+
+    /// The allocation-free split reproduces `split_even` + `rotate_right`
+    /// share for share, for every part count up to 64, every rotation
+    /// residue (cursors past `k` included) and tuple counts around every
+    /// multiple of `k`.
+    #[test]
+    fn rotated_split_matches_rotated_split_even() {
+        for k in 0..=64u32 {
+            let kk = k.max(1);
+            let mut counts: Vec<u64> = (0..=3 * kk as u64 + 2).collect();
+            counts.extend([255, 256, 1_000, 4_096, 65_537, u32::MAX as u64]);
+            for t in counts {
+                for cursor in 0..2 * kk + 1 {
+                    let mut want = split_even(t, k);
+                    want.rotate_right((cursor % kk) as usize);
+                    let split = RotatedSplit::new(t, k, cursor);
+                    let got: Vec<u64> = (0..split.parts()).map(|i| split.share(i)).collect();
+                    assert_eq!(got, want, "t={t} k={k} cursor={cursor}");
+                }
+            }
         }
     }
 

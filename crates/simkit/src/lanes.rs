@@ -320,7 +320,6 @@ mod tests {
     //! counter, and residual FEL must match bit-for-bit.
 
     use super::*;
-    use crate::dispatch::QueueKind;
     use crate::time::SimDur;
 
     /// Toy event: `(lane, hop)`. Handling `(lane, hop)` pushes
@@ -339,8 +338,8 @@ mod tests {
         })
     }
 
-    fn seed_queue(kind: QueueKind, lanes: u32) -> EventQueue<Ev> {
-        let mut q = EventQueue::with_kind(kind, 16);
+    fn seed_queue(lanes: u32) -> EventQueue<Ev> {
+        let mut q = EventQueue::with_capacity(16);
         for lane in 0..lanes {
             q.at(SimTime(5 + (lane as u64 * 7) % 13), (lane, 0));
             q.at(SimTime(5 + (lane as u64 * 3) % 11), (lane, 100));
@@ -360,8 +359,8 @@ mod tests {
     }
 
     /// Reference: the plain sequential loop.
-    fn run_sequential(kind: QueueKind, lanes: u32) -> RunResult {
-        let mut q = seed_queue(kind, lanes);
+    fn run_sequential(lanes: u32) -> RunResult {
+        let mut q = seed_queue(lanes);
         let mut trace = Vec::new();
         let end = SimTime(60);
         while let Some(t) = q.peek_time() {
@@ -425,8 +424,8 @@ mod tests {
 
     /// The windowed run: form fixed-size windows, execute lanes (on
     /// `threads` scoped threads when > 1), merge, repeat.
-    fn run_windowed(kind: QueueKind, lanes: u32, window_cap: usize, threads: usize) -> RunResult {
-        let mut q = seed_queue(kind, lanes);
+    fn run_windowed(lanes: u32, window_cap: usize, threads: usize) -> RunResult {
+        let mut q = seed_queue(lanes);
         let end = SimTime(60);
         let mut logs: Vec<LaneLog<Ev>> = (0..lanes).map(|_| LaneLog::new()).collect();
         let mut trace: Vec<(u64, Ev)> = Vec::new();
@@ -499,17 +498,15 @@ mod tests {
 
     #[test]
     fn windowed_matches_sequential_bit_for_bit() {
-        for kind in [QueueKind::BinaryHeap, QueueKind::Calendar] {
-            for lanes in [1u32, 3, 8] {
-                let reference = run_sequential(kind, lanes);
-                for window_cap in [1usize, 2, 7, 64] {
-                    for threads in [1usize, 2, 8] {
-                        let got = run_windowed(kind, lanes, window_cap, threads);
-                        assert_eq!(
-                            got, reference,
-                            "kind={kind:?} lanes={lanes} cap={window_cap} threads={threads}"
-                        );
-                    }
+        for lanes in [1u32, 3, 8] {
+            let reference = run_sequential(lanes);
+            for window_cap in [1usize, 2, 7, 64] {
+                for threads in [1usize, 2, 8] {
+                    let got = run_windowed(lanes, window_cap, threads);
+                    assert_eq!(
+                        got, reference,
+                        "lanes={lanes} cap={window_cap} threads={threads}"
+                    );
                 }
             }
         }
@@ -520,8 +517,8 @@ mod tests {
         // After a window in which pushes were consumed, a fresh push must
         // receive the same seq it would have sequentially — i.e. the
         // committed FEL's scheduled_total matches the sequential run's.
-        let seq_run = run_sequential(QueueKind::BinaryHeap, 4);
-        let win_run = run_windowed(QueueKind::BinaryHeap, 4, 8, 2);
+        let seq_run = run_sequential(4);
+        let win_run = run_windowed(4, 8, 2);
         // Residues carry raw seqs; equality already proves allocation
         // parity, but make the property explicit:
         let seq_ids: Vec<u64> = seq_run.2.iter().map(|r| r.1).collect();

@@ -5,8 +5,8 @@
 //! Parallel Database Systems", VLDB 1995*:
 //!
 //! * [`SimTime`] / [`SimDur`] — nanosecond-resolution simulated clock,
-//! * [`EventHeap`] / [`CalendarQueue`] — future event lists with identical
-//!   deterministic tie-breaking, selectable per run via [`QueueKind`],
+//! * [`EventHeap`] — the future event list, a 4-ary heap with
+//!   deterministic FIFO tie-breaking,
 //! * [`FcfsServer`] — queueing resources (CPUs, disks, NICs) with busy-time
 //!   accounting and optional two-level priorities,
 //! * [`SimRng`] — a seedable random source with the variates the workload
@@ -22,7 +22,6 @@
 //! bit-identical results.
 
 pub mod alloc_audit;
-pub mod calendar;
 pub mod dispatch;
 pub mod fxhash;
 pub mod heap;
@@ -34,7 +33,6 @@ pub mod slab;
 pub mod stats;
 pub mod time;
 
-pub use calendar::CalendarQueue;
 pub use dispatch::{Dispatcher, EventQueue, QueueKind, Simulation};
 pub use fxhash::{FxBuildHasher, FxHashMap};
 pub use heap::EventHeap;

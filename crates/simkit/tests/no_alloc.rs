@@ -1,11 +1,10 @@
 //! Allocation audit of the future-event-list hot path.
 //!
-//! Events are stored by value inside both FEL implementations, so a
-//! steady-state push/pop cycle at constant depth must never touch the
-//! heap once the backing storage is warm — for the binary heap and for
-//! the calendar queue (whose bucket array only resizes when the depth
-//! crosses a threshold). This pins the zero-allocation property the
-//! event-loop perf work relies on: per-event cost is pointer shuffling,
+//! Events are stored by value inside the FEL, so a steady-state push/pop
+//! cycle at constant depth must never touch the heap once the backing
+//! storage is warm: keys sift inside one vector, and payloads go back
+//! into slots the pops vacated. This pins the zero-allocation property
+//! the event-loop perf work relies on: per-event cost is key shuffling,
 //! not allocator traffic.
 //!
 //! Lives in its own integration-test binary because a
@@ -13,7 +12,7 @@
 //! per thread, so tests running in parallel do not see each other.
 
 use simkit::alloc_audit::{self, CountingAlloc};
-use simkit::{EventQueue, ItemKey, LaneLog, LruMap, MergeCursor, QueueKind, SimDur, SimTime};
+use simkit::{EventQueue, ItemKey, LaneLog, LruMap, MergeCursor, SimDur, SimTime};
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -29,13 +28,13 @@ fn cycle_allocs(q: &mut EventQueue<u64>, steps: u64) -> u64 {
     alloc_audit::thread_stats().allocs - before
 }
 
-/// Deterministic per-event jitter so pushes spread across calendar days.
+/// Deterministic per-event jitter so pushes land at many heap depths.
 fn striped(ev: u64) -> u64 {
     37 + (ev * 31) % 400
 }
 
-fn warmed_queue(kind: QueueKind, warmup_steps: u64) -> EventQueue<u64> {
-    let mut q: EventQueue<u64> = EventQueue::with_kind(kind, 1 << 10);
+fn warmed_queue(warmup_steps: u64) -> EventQueue<u64> {
+    let mut q: EventQueue<u64> = EventQueue::new();
     for i in 0..512u64 {
         q.at(SimTime::ZERO + SimDur::from_micros(i), i);
     }
@@ -43,12 +42,12 @@ fn warmed_queue(kind: QueueKind, warmup_steps: u64) -> EventQueue<u64> {
     q
 }
 
-/// The default FEL is *strictly* allocation-free once warm: sift-up and
-/// sift-down move entries inside the backing vector, and constant depth
-/// means that vector never regrows.
+/// The FEL is *strictly* allocation-free once warm: sift-up and sift-down
+/// move keys inside the backing vector, payload slots are reused, and
+/// constant depth means neither vector regrows.
 #[test]
 fn event_heap_steady_state_is_allocation_free() {
-    let mut q = warmed_queue(QueueKind::BinaryHeap, 4096);
+    let mut q = warmed_queue(4096);
     let steady = cycle_allocs(&mut q, 100_000);
     assert_eq!(
         steady, 0,
@@ -57,13 +56,6 @@ fn event_heap_steady_state_is_allocation_free() {
     assert_eq!(q.len(), 512);
 }
 
-/// The calendar queue is allocation-free in the *amortized* sense: pops
-/// (`swap_remove`) keep each day's capacity, so a bucket only allocates
-/// when it exceeds its historical high-water mark — rarer and rarer as
-/// occupancy maxima converge, but never exactly never (the tail of the
-/// per-day occupancy distribution is unbounded). Pin the rate at ≤ 0.25%
-/// of events after warm-up; the strict-zero claim belongs to the heap,
-/// which is the default (and the soak's) FEL.
 /// The windowed executor's per-window machinery — formation item lists,
 /// lane logs, and the merge cursor — reuses its backing storage, so a
 /// steady-state form/execute/commit cycle allocates nothing once warm.
@@ -76,7 +68,7 @@ fn event_heap_steady_state_is_allocation_free() {
 fn window_machinery_steady_state_is_allocation_free() {
     const LANES: usize = 4;
     const WINDOW: usize = 32;
-    let mut q: EventQueue<u64> = EventQueue::with_kind(QueueKind::BinaryHeap, 1 << 10);
+    let mut q: EventQueue<u64> = EventQueue::with_capacity(1 << 10);
     for i in 0..128u64 {
         q.at(SimTime::ZERO + SimDur::from_micros(i * 100), i);
     }
@@ -133,17 +125,6 @@ fn window_machinery_steady_state_is_allocation_free() {
         "window machinery allocated {steady} times over 2048 steady-state windows"
     );
     assert_eq!(q.len(), 128);
-}
-
-#[test]
-fn calendar_queue_steady_state_allocations_amortize_away() {
-    let mut q = warmed_queue(QueueKind::Calendar, 104_096);
-    let steady = cycle_allocs(&mut q, 400_000);
-    assert!(
-        steady <= 1000,
-        "calendar FEL allocated {steady} times over 400k steady-state events (> 0.25%)"
-    );
-    assert_eq!(q.len(), 512);
 }
 
 /// An LRU costs nothing until it is used: a thousand-PE system builds

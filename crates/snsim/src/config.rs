@@ -95,8 +95,9 @@ pub struct SimConfig {
     /// kept for benchmarks and parity tests.
     #[serde(default)]
     pub broker_reads: ReadMode,
-    /// Which future-event-list implementation backs the run. Both obey
-    /// the same `(time, seq)` total order, so results are bit-identical.
+    /// Which future-event-list implementation backs the run. Only the
+    /// 4-ary heap remains; the field stays so configs that name it keep
+    /// parsing.
     #[serde(default)]
     pub event_queue: QueueKind,
     /// Worker threads for the per-PE sampling phase of each control tick

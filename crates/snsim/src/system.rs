@@ -279,7 +279,7 @@ impl System {
             .enabled
             .then(|| Box::new(obs::Recorder::new(cfg.trace, n)));
         let mut sys = System {
-            events: EventQueue::with_kind(cfg.event_queue, 1 << 16),
+            events: EventQueue::new(),
             pes: (0..n)
                 .map(|i| {
                     Pe::new(

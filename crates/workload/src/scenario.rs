@@ -217,8 +217,8 @@ pub struct Knobs {
     /// How the broker serves ranking reads (`SortPerCall` = legacy
     /// baseline for benchmarks; results are identical either way).
     pub broker_reads: ReadMode,
-    /// Future-event-list implementation (heap vs. calendar wheel; results
-    /// are bit-identical either way).
+    /// Future-event-list implementation (only the 4-ary heap remains; the
+    /// knob stays so specs that name it keep parsing).
     pub event_queue: QueueKind,
     /// Threads for the control tick's sampling phase (0/1 = serial;
     /// results are identical at any count).

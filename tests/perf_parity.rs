@@ -1,14 +1,13 @@
 //! Perf-parity properties: the hot-path engine alternatives — incremental
-//! broker order statistics, the calendar event queue, the parallel
-//! control-tick sampling phase, the clean-configured control-plane
-//! decorators (lagged broker at zero staleness/loss, single-rack
-//! hierarchical broker), and the windowed lane executor (including query
-//! operator phases) — are pure cost/structure changes. Each must produce
-//! a [`Summary`] **bit-identical** to its reference implementation
-//! (central broker, sort-per-call reads, the binary heap, serial
-//! sampling, sequential dispatch) on the same configuration, across the
-//! Fig. 6 strategy set and the network / placement / admission / mixed
-//! query scenario families.
+//! broker order statistics, the parallel control-tick sampling phase,
+//! the clean-configured control-plane decorators (lagged broker at zero
+//! staleness/loss, single-rack hierarchical broker), and the windowed
+//! lane executor (including query operator phases) — are pure
+//! cost/structure changes. Each must produce a [`Summary`]
+//! **bit-identical** to its reference implementation (central broker,
+//! sort-per-call reads, serial sampling, sequential dispatch) on the
+//! same configuration, across the Fig. 6 strategy set and the network /
+//! placement / admission / mixed query scenario families.
 //!
 //! "Bit-identical" is checked on the serialized summary, covering every
 //! counter and every float bit pattern. The three executor counters
@@ -20,7 +19,6 @@
 use lb_core::{BrokerConfig, BrokerKind, ReadMode};
 use parallel_lb::prelude::*;
 use proptest::prelude::{proptest, ProptestConfig};
-use simkit::QueueKind;
 
 /// Run one configuration and return `(scrubbed summary JSON,
 /// windows_formed)`: the executor counters are zeroed in the JSON so
@@ -43,10 +41,8 @@ fn assert_parity(base: SimConfig, label: &str, expect_windows: bool) {
     let reference = base
         .clone()
         .with_broker_reads(ReadMode::SortPerCall)
-        .with_event_queue(QueueKind::BinaryHeap)
         .with_tick_threads(0);
     let incremental = base.clone().with_broker_reads(ReadMode::Incremental);
-    let calendar = base.clone().with_event_queue(QueueKind::Calendar);
     let threaded = base.clone().with_tick_threads(4);
     // The broker-kind axis: a lagged broker with no staleness and no loss
     // and a one-rack hierarchical broker are pass-throughs, under both
@@ -71,17 +67,12 @@ fn assert_parity(base: SimConfig, label: &str, expect_windows: bool) {
     });
     // The windowed-executor axis: lane-parallel execution is a pure
     // scheduling change, so it must be bit-identical at any thread count,
-    // crossed with the queue kind, the read mode, and the broker kind.
+    // crossed with the read mode and the broker kind.
     let exec2 = base.clone().with_exec_threads(2);
     let exec8 = base.clone().with_exec_threads(8);
-    let exec2_calendar = base
-        .clone()
-        .with_event_queue(QueueKind::Calendar)
-        .with_exec_threads(2);
     let exec2_sorted = base
         .clone()
         .with_broker_reads(ReadMode::SortPerCall)
-        .with_event_queue(QueueKind::BinaryHeap)
         .with_tick_threads(0)
         .with_exec_threads(2);
     let exec2_lagged = base
@@ -93,7 +84,6 @@ fn assert_parity(base: SimConfig, label: &str, expect_windows: bool) {
     let j = |cfg: SimConfig| run_scrubbed(cfg).0;
     let want = j(reference);
     assert_eq!(want, j(incremental), "incremental reads diverged: {label}");
-    assert_eq!(want, j(calendar), "calendar queue diverged: {label}");
     assert_eq!(want, j(threaded), "parallel tick diverged: {label}");
     assert_eq!(want, j(lagged), "clean lagged broker diverged: {label}");
     assert_eq!(
@@ -111,11 +101,6 @@ fn assert_parity(base: SimConfig, label: &str, expect_windows: bool) {
         want,
         run_scrubbed(exec8).0,
         "windowed executor (8) diverged: {label}"
-    );
-    assert_eq!(
-        want,
-        j(exec2_calendar),
-        "windowed executor on the calendar queue diverged: {label}"
     );
     assert_eq!(
         want,
