@@ -113,7 +113,7 @@ fn bench_trace_codec(c: &mut Criterion) {
     c.bench_function("trace/encode_decode_10k", |b| {
         b.iter(|| {
             let bytes = encode(&records);
-            black_box(decode(bytes).expect("round trip").len())
+            black_box(decode(&bytes).expect("round trip").len())
         })
     });
 }

@@ -13,10 +13,11 @@
 //! Run: `cargo run --release -p bench --bin fig1 [--full]`
 
 use bench::lab::{self, RunLength};
-use bench::{check, write_results_json};
+use bench::{check, shape_verdict, write_results_json};
 use lb_core::costmodel::{paper_join_profile, CostModel};
 use lb_core::Strategy;
 use snsim::{format_table, SimConfig, Summary};
+use std::process::ExitCode;
 use workload::WorkloadSpec;
 
 const N: u32 = 40;
@@ -47,7 +48,7 @@ fn argmin(v: &[f64]) -> usize {
         .expect("at least one cell completed work")
 }
 
-fn main() {
+fn main() -> ExitCode {
     let len = RunLength::from_args();
 
     let su = sweep(SPEC_SU, "fig1_single_user", len);
@@ -138,4 +139,5 @@ fn main() {
             ("memory-bound".into(), mem),
         ],
     );
+    shape_verdict()
 }

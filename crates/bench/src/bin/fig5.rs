@@ -8,13 +8,14 @@
 //! Run: `cargo run --release -p bench --bin fig5 [--full]`
 
 use bench::lab::{self, RunLength};
-use bench::{check, write_results_json};
+use bench::{check, shape_verdict, write_results_json};
 use snsim::{format_table, Summary};
+use std::process::ExitCode;
 
 const SPEC: &str = include_str!("../../../../scenarios/fig5.json");
 const BASELINE: &str = include_str!("../../../../scenarios/single_user_baseline.json");
 
-fn main() {
+fn main() -> ExitCode {
     let len = RunLength::from_args();
     let (_, mut rows) = lab::run_embedded(SPEC, "fig5", len);
     let (_, baseline) = lab::run_embedded(BASELINE, "single_user_baseline", len);
@@ -64,4 +65,5 @@ fn main() {
     );
 
     write_results_json("fig5", &lab::rows_by_strategy(&rows));
+    shape_verdict()
 }

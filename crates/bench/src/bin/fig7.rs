@@ -10,8 +10,9 @@
 //! Run: `cargo run --release -p bench --bin fig7 [--full]`
 
 use bench::lab::{self, LabRow, RunLength};
-use bench::{check, write_results_json};
+use bench::{check, shape_verdict, write_results_json};
 use snsim::{format_table, Summary};
+use std::process::ExitCode;
 
 const SPEC: &str = include_str!("../../../../scenarios/fig7.json");
 const BASELINE: &str = include_str!("../../../../scenarios/fig7_baseline.json");
@@ -27,7 +28,7 @@ fn relabel(rows: Vec<LabRow>, load: impl Fn(&LabRow) -> String) -> Vec<LabRow> {
         .collect()
 }
 
-fn main() {
+fn main() -> ExitCode {
     let len = RunLength::from_args();
     let (_, mu_rows) = lab::run_embedded(SPEC, "fig7", len);
     let (_, su_rows) = lab::run_embedded(BASELINE, "fig7_baseline", len);
@@ -82,4 +83,5 @@ fn main() {
     );
 
     write_results_json("fig7", &lab::rows_by_strategy(&rows));
+    shape_verdict()
 }

@@ -10,13 +10,14 @@
 //! Run: `cargo run --release -p bench --bin fig8 [--full]`
 
 use bench::lab::{self, RunLength};
-use bench::{check, write_results_json};
+use bench::{check, shape_verdict, write_results_json};
 use snsim::{format_table, Summary};
+use std::process::ExitCode;
 
 const SPEC: &str = include_str!("../../../../scenarios/fig8.json");
 const BASELINE: &str = "psu-opt+RANDOM";
 
-fn main() {
+fn main() -> ExitCode {
     let len = RunLength::from_args();
     let (_, rows) = lab::run_embedded(SPEC, "fig8", len);
 
@@ -68,4 +69,5 @@ fn main() {
     );
 
     write_results_json("fig8", &lab::rows_by_strategy(&rows));
+    shape_verdict()
 }

@@ -8,13 +8,14 @@
 //! Run: `cargo run --release -p bench --bin fig9 [--full]`
 
 use bench::lab::{self, RunLength};
-use bench::{check, write_results_json};
+use bench::{check, shape_verdict, write_results_json};
 use snsim::{format_table, Summary};
+use std::process::ExitCode;
 
 const SPEC_A: &str = include_str!("../../../../scenarios/fig9a.json");
 const SPEC_B: &str = include_str!("../../../../scenarios/fig9b.json");
 
-fn main() {
+fn main() -> ExitCode {
     let len = RunLength::from_args();
     for (panel, json, name) in [
         ("9a (OLTP on A-nodes)", SPEC_A, "fig9a"),
@@ -72,4 +73,5 @@ fn main() {
         }
         write_results_json(name, &lab::rows_by_strategy(&rows));
     }
+    shape_verdict()
 }

@@ -13,6 +13,8 @@ pub mod lab;
 
 use snsim::Summary;
 use std::path::PathBuf;
+use std::process::ExitCode;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Write a JSON result file under `results/` (created on demand) in the
 /// legacy figure format: an array of `{series, points}` groups. The
@@ -43,13 +45,33 @@ pub fn write_results_json(name: &str, summaries: &[(String, Vec<Summary>)]) {
     }
 }
 
-/// Assert a qualitative claim, printing rather than panicking (harnesses
-/// should report shape violations without aborting the whole run).
+/// Shape claims that failed so far in this process.
+static VIOLATIONS: AtomicUsize = AtomicUsize::new(0);
+
+/// Check a qualitative claim of the paper: print it, and record it as a
+/// violation if it fails. The harness keeps going, so one run reports
+/// every claim; [`shape_verdict`] turns the record into the exit code.
 pub fn check(claim: &str, ok: bool) {
     if ok {
         println!("  [shape OK] {claim}");
     } else {
+        VIOLATIONS.fetch_add(1, Ordering::Relaxed);
         println!("  [SHAPE VIOLATION] {claim}");
+    }
+}
+
+fn violations() -> usize {
+    VIOLATIONS.load(Ordering::Relaxed)
+}
+
+/// The process exit code after all checks: failure if any claim failed.
+pub fn shape_verdict() -> ExitCode {
+    match violations() {
+        0 => ExitCode::SUCCESS,
+        n => {
+            println!("{n} shape violation(s)");
+            ExitCode::FAILURE
+        }
     }
 }
 
@@ -58,8 +80,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn check_reports_without_panicking() {
+    fn a_false_claim_is_reported_as_a_failure() {
         check("a true claim", true);
+        assert_eq!(violations(), 0);
+        assert_eq!(shape_verdict(), ExitCode::SUCCESS);
         check("a false claim", false);
+        assert_eq!(violations(), 1);
+        assert_eq!(shape_verdict(), ExitCode::FAILURE);
     }
 }

@@ -13,7 +13,7 @@
 use dbmodel::catalog::Catalog;
 use dbmodel::log::LogParams;
 use engine::api::{Action, EngineConfig, JoinPhase, Step};
-use engine::ctx::{Ctx, PeSlice};
+use engine::ctx::Ctx;
 use engine::pphj::JoinTask;
 use engine::Pe;
 use simkit::alloc_audit::{self, CountingAlloc};
@@ -50,7 +50,7 @@ impl Harness {
             now: SimTime::ZERO,
             cfg: &self.cfg,
             catalog: &self.catalog,
-            pes: PeSlice::full(&mut self.pes),
+            pes: &mut self.pes,
             rng: &mut self.rng,
             out: &mut self.actions,
             temp_counter: &mut self.temp,

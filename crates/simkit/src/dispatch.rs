@@ -101,59 +101,6 @@ impl<E> EventQueue<E> {
         self.processed
     }
 
-    // ----- windowed-executor API (see `crate::lanes`) ------------------
-    //
-    // The windowed executor pops a prefix of the event stream up front
-    // (window formation), executes it on per-lane state, then re-traverses
-    // it in global order (merge commit). These hooks expose the `(time,
-    // seq)` key material and bypass the single-pop clock bookkeeping so
-    // the commit pass can reproduce *exactly* the pushes and clock motion
-    // a sequential run would have performed.
-
-    /// Next pending event without popping it.
-    pub fn peek(&self) -> Option<(SimTime, &E)> {
-        self.heap.peek()
-    }
-
-    /// `(time, seq)` key of the next pending event without popping it.
-    /// The commit pass merges the FEL head against lane-log replays and
-    /// residual events by this key.
-    pub fn peek_key(&self) -> Option<(SimTime, u64)> {
-        self.heap.peek_key()
-    }
-
-    /// Pop the next event with its sequence number, advancing neither the
-    /// clock, the processed counter, nor the FEL causality watermark.
-    pub fn window_pop(&mut self) -> Option<(SimTime, u64, E)> {
-        self.heap.pop_raw()
-    }
-
-    /// Reserve the next sequence number (commit-pass push replay).
-    pub fn alloc_seq(&mut self) -> u64 {
-        self.heap.alloc_seq()
-    }
-
-    /// Schedule `ev` under a sequence number from [`EventQueue::alloc_seq`].
-    pub fn push_with_seq(&mut self, t: SimTime, seq: u64, ev: E) {
-        self.heap.push_with_seq(t, seq, ev)
-    }
-
-    /// Count one event as dispatched (window items are counted as the
-    /// commit pass traverses them, or at formation for pre-executed ones).
-    #[inline]
-    pub fn note_processed(&mut self) {
-        self.processed += 1;
-    }
-
-    /// Set the clock without the monotonicity check. Windowed executor
-    /// only: the commit pass re-traverses an already-executed window, and
-    /// deferred per-item effects replay with the clock pinned to each
-    /// item's timestamp, which may rewind within the window.
-    #[inline]
-    pub fn window_set_now(&mut self, t: SimTime) {
-        self.now = t;
-    }
-
     pub fn len(&self) -> usize {
         self.heap.len()
     }

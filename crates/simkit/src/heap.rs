@@ -133,9 +133,8 @@ impl<T> EventHeap<T> {
     }
 
     /// Pop the earliest event **without** advancing the causality
-    /// watermark, exposing its sequence number. Used by the windowed
-    /// executor, which re-traverses the popped prefix and must still be
-    /// able to push follow-ups timestamped inside it.
+    /// watermark, exposing its sequence number: a caller may still push
+    /// follow-ups timestamped before the popped event.
     pub fn pop_raw(&mut self) -> Option<(SimTime, u64, T)> {
         let last = self.keys.pop()?;
         let top = match self.keys.first() {
@@ -153,9 +152,9 @@ impl<T> EventHeap<T> {
         Some((SimTime(top.time), top.seq(), payload))
     }
 
-    /// Reserve the next sequence number (the windowed executor replays
-    /// the sequential push order, so every push — even one whose event
-    /// was already consumed inside the window — must consume a number).
+    /// Reserve the next sequence number, to be pushed later with
+    /// [`EventHeap::push_with_seq`]; the event then orders as if it had
+    /// been pushed now.
     ///
     /// # Panics
     /// Panics once 2^40 numbers are used up, rather than wrapping.
@@ -167,9 +166,7 @@ impl<T> EventHeap<T> {
     }
 
     /// Schedule `payload` under a sequence number obtained from
-    /// [`EventHeap::alloc_seq`] (windowed executor only: the caller is
-    /// reproducing the exact `(time, seq)` order a sequential run would
-    /// have assigned).
+    /// [`EventHeap::alloc_seq`].
     ///
     /// # Panics
     /// Panics if `time` lies before the causality watermark, or if more
@@ -404,7 +401,7 @@ mod tests {
         /// `(time, seq)` step by step. Each payload is its own sequence
         /// number, so a payload mix-up shows as well as a misordering.
         /// Sequence numbers reserved with `alloc_seq` are pushed later and
-        /// out of order, as the windowed executor's commit pass does.
+        /// out of order.
         #[test]
         fn prop_matches_reference_binary_heap(
             ops in proptest::collection::vec((0u8..7, 0u64..4, 0usize..8), 1..600),

@@ -25,7 +25,6 @@ pub mod alloc_audit;
 pub mod dispatch;
 pub mod fxhash;
 pub mod heap;
-pub mod lanes;
 pub mod lru;
 pub mod rng;
 pub mod server;
@@ -36,7 +35,6 @@ pub mod time;
 pub use dispatch::{Dispatcher, EventQueue, QueueKind, Simulation};
 pub use fxhash::{FxBuildHasher, FxHashMap};
 pub use heap::EventHeap;
-pub use lanes::{merge_commit, ItemKey, LaneLog, MergeCursor, MergeStep};
 pub use lru::LruMap;
 pub use rng::SimRng;
 pub use server::{FcfsServer, Priority};

@@ -12,7 +12,7 @@
 //! per thread, so tests running in parallel do not see each other.
 
 use simkit::alloc_audit::{self, CountingAlloc};
-use simkit::{EventQueue, ItemKey, LaneLog, LruMap, MergeCursor, SimDur, SimTime};
+use simkit::{EventQueue, LruMap, SimDur, SimTime};
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -54,77 +54,6 @@ fn event_heap_steady_state_is_allocation_free() {
         "heap FEL allocated {steady} times over 100k steady-state events"
     );
     assert_eq!(q.len(), 512);
-}
-
-/// The windowed executor's per-window machinery — formation item lists,
-/// lane logs, and the merge cursor — reuses its backing storage, so a
-/// steady-state form/execute/commit cycle allocates nothing once warm.
-/// Windows now form during query operator phases too (not just pure-OLTP
-/// stretches), so this loop runs millions of times per mixed-workload
-/// soak; every item both defers a follow-up past the horizon and
-/// consumes one in-window, covering both push paths and the commit-time
-/// sequence burn.
-#[test]
-fn window_machinery_steady_state_is_allocation_free() {
-    const LANES: usize = 4;
-    const WINDOW: usize = 32;
-    let mut q: EventQueue<u64> = EventQueue::with_capacity(1 << 10);
-    for i in 0..128u64 {
-        q.at(SimTime::ZERO + SimDur::from_micros(i * 100), i);
-    }
-    let mut logs: Vec<LaneLog<u64>> = (0..LANES).map(|_| LaneLog::new()).collect();
-    let mut items: Vec<Vec<(SimTime, u64, u64)>> = (0..LANES).map(|_| Vec::new()).collect();
-    let mut active: Vec<u32> = Vec::new();
-    let mut merge = MergeCursor::new();
-    let mut cycle = |q: &mut EventQueue<u64>, windows: usize| -> u64 {
-        let before = alloc_audit::thread_stats().allocs;
-        for _ in 0..windows {
-            active.clear();
-            for it in items.iter_mut() {
-                it.clear();
-            }
-            for log in logs.iter_mut() {
-                log.clear();
-            }
-            // Formation: route a fixed-size window into per-lane lists.
-            for _ in 0..WINDOW {
-                let Some((t, seq, ev)) = q.window_pop() else {
-                    break;
-                };
-                let lane = (ev % LANES as u64) as usize;
-                if items[lane].is_empty() {
-                    active.push(lane as u32);
-                }
-                items[lane].push((t, seq, ev));
-            }
-            // Lane execution: one deferred push (keeps the FEL at
-            // constant depth) plus one consumed same-time follow-up per
-            // item, handled as its own Gen-keyed item.
-            for &lane in &active {
-                let l = lane as usize;
-                let log = &mut logs[l];
-                for k in 0..items[l].len() {
-                    let (t, seq, ev) = items[l][k];
-                    log.begin_item(t, ItemKey::Orig(seq));
-                    log.push_defer(t + SimDur::from_micros(12_800), ev);
-                    let rank = log.push_consumed(t + SimDur::from_nanos(1));
-                    log.begin_item(t + SimDur::from_nanos(1), ItemKey::Gen(rank));
-                }
-            }
-            // Merge commit, stepped through the incremental cursor as the
-            // simulator does when interleaving residual streams.
-            merge.begin(&logs, &active);
-            while merge.replay_next(q, &mut logs).is_some() {}
-        }
-        alloc_audit::thread_stats().allocs - before
-    };
-    let _warm = cycle(&mut q, 64);
-    let steady = cycle(&mut q, 2048);
-    assert_eq!(
-        steady, 0,
-        "window machinery allocated {steady} times over 2048 steady-state windows"
-    );
-    assert_eq!(q.len(), 128);
 }
 
 /// An LRU costs nothing until it is used: a thousand-PE system builds

@@ -100,25 +100,9 @@ pub struct SimConfig {
     /// parsing.
     #[serde(default)]
     pub event_queue: QueueKind,
-    /// Worker threads for the per-PE sampling phase of each control tick
-    /// (0 or 1 = serial). The parallel phase only computes per-PE resource
-    /// vectors; reports merge serially in PE order, so results are
-    /// identical at any thread count.
-    #[serde(default)]
-    pub tick_threads: u32,
-    /// Worker threads for the lane-parallel event executor (0 = the
-    /// plain sequential dispatch loop, byte-identical lowering; 1 =
-    /// windowed executor on the calling thread; >1 = windows of
-    /// lane-local events run on scoped worker threads). Windows form on
-    /// pure-OLTP stretches *and* inside query operator phases: per-PE
-    /// operator completions between shuffle points ride the lanes,
-    /// while cross-PE events and spanning-job bookkeeping interleave
-    /// serially at commit. Every setting produces a bit-identical
-    /// [`crate::Summary`] on every workload — the commit replays the
-    /// sequential `(time, seq)` order exactly — so this is a pure
-    /// throughput knob; only the window-shape counters
-    /// (`windows_formed`, `windowed_events`, `barrier_events`) reveal
-    /// which executor ran.
+    /// Inert: nothing reads it. It named the thread count of a removed
+    /// parallel executor and stays only because the benchmark's frozen
+    /// tests read it; it goes when the benchmark is next re-cut.
     #[serde(default)]
     pub exec_threads: u32,
     /// Control-plane implementation and fault model (staleness, heartbeat
@@ -170,7 +154,6 @@ impl SimConfig {
             control_pe: 0,
             broker_reads: ReadMode::default(),
             event_queue: QueueKind::default(),
-            tick_threads: 0,
             exec_threads: 0,
             broker: BrokerConfig::default(),
             trace: obs::TraceConfig::default(),
@@ -304,18 +287,6 @@ impl SimConfig {
     /// Select the future-event-list implementation.
     pub fn with_event_queue(mut self, kind: QueueKind) -> SimConfig {
         self.event_queue = kind;
-        self
-    }
-
-    /// Set the control-tick sampling thread count (0 or 1 = serial).
-    pub fn with_tick_threads(mut self, threads: u32) -> SimConfig {
-        self.tick_threads = threads;
-        self
-    }
-
-    /// Set the lane-parallel executor thread count (0 = sequential loop).
-    pub fn with_exec_threads(mut self, threads: u32) -> SimConfig {
-        self.exec_threads = threads;
         self
     }
 

@@ -55,20 +55,10 @@ pub enum Phase {
     /// sub: hardware action execution (CPU/disk/log/net requests) inside
     /// the engine drain.
     SubExecActions,
-    /// Windowed executor: serial window formation (classification, raw
-    /// pops, arrival pre-execution).
-    WindowForm,
-    /// Windowed executor: lane execution (parallel when `exec_threads > 1`).
-    WindowLanes,
-    /// Windowed executor: serial merge commit + deferred effects.
-    WindowCommit,
-    /// Windowed executor: serial handling of residual (cross-PE) events
-    /// interleaved into the merge commit at their `(time, seq)` position.
-    WindowSerial,
 }
 
 impl Phase {
-    pub const COUNT: usize = 19;
+    pub const COUNT: usize = 15;
 
     pub const ALL: [Phase; Phase::COUNT] = [
         Phase::Arrival,
@@ -86,10 +76,6 @@ impl Phase {
         Phase::SubMigration,
         Phase::SubEngineHandle,
         Phase::SubExecActions,
-        Phase::WindowForm,
-        Phase::WindowLanes,
-        Phase::WindowCommit,
-        Phase::WindowSerial,
     ];
 
     pub fn name(self) -> &'static str {
@@ -109,10 +95,6 @@ impl Phase {
             Phase::SubMigration => "sub:migration",
             Phase::SubEngineHandle => "sub:engine_handle",
             Phase::SubExecActions => "sub:exec_actions",
-            Phase::WindowForm => "window:form",
-            Phase::WindowLanes => "window:lanes",
-            Phase::WindowCommit => "window:commit",
-            Phase::WindowSerial => "window:serial",
         }
     }
 

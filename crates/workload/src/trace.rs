@@ -12,7 +12,6 @@
 //! is the arrival PE and `payload` carries class-specific data (e.g.
 //! scaled selectivity).
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use simkit::{SimDur, SimRng, SimTime};
 
 /// One trace event.
@@ -34,34 +33,31 @@ pub struct TraceRecord {
 const RECORD_BYTES: usize = 8 + 2 + 1 + 2 + 4;
 
 /// Serialize records to the binary trace format.
-pub fn encode(records: &[TraceRecord]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(records.len() * RECORD_BYTES);
+pub fn encode(records: &[TraceRecord]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(records.len() * RECORD_BYTES);
     for r in records {
-        buf.put_u64_le(r.at.as_nanos());
-        buf.put_u16_le(r.class);
-        buf.put_u8(r.kind);
-        buf.put_u16_le(r.coordinator);
-        buf.put_u32_le(r.payload);
+        buf.extend_from_slice(&r.at.as_nanos().to_le_bytes());
+        buf.extend_from_slice(&r.class.to_le_bytes());
+        buf.push(r.kind);
+        buf.extend_from_slice(&r.coordinator.to_le_bytes());
+        buf.extend_from_slice(&r.payload.to_le_bytes());
     }
-    buf.freeze()
+    buf
 }
 
 /// Decode a binary trace. Returns `None` on truncated input.
-pub fn decode(mut data: Bytes) -> Option<Vec<TraceRecord>> {
+pub fn decode(data: &[u8]) -> Option<Vec<TraceRecord>> {
     if !data.len().is_multiple_of(RECORD_BYTES) {
         return None;
     }
-    let mut out = Vec::with_capacity(data.len() / RECORD_BYTES);
-    while data.remaining() >= RECORD_BYTES {
-        out.push(TraceRecord {
-            at: SimTime(data.get_u64_le()),
-            class: data.get_u16_le(),
-            kind: data.get_u8(),
-            coordinator: data.get_u16_le(),
-            payload: data.get_u32_le(),
-        });
-    }
-    Some(out)
+    let records = data.chunks_exact(RECORD_BYTES).map(|r| TraceRecord {
+        at: SimTime(u64::from_le_bytes(r[0..8].try_into().expect("8 bytes"))),
+        class: u16::from_le_bytes([r[8], r[9]]),
+        kind: r[10],
+        coordinator: u16::from_le_bytes([r[11], r[12]]),
+        payload: u32::from_le_bytes(r[13..17].try_into().expect("4 bytes")),
+    });
+    Some(records.collect())
 }
 
 /// Synthesize a Poisson trace of `count` events at `rate` per second for a
@@ -115,7 +111,43 @@ mod tests {
         ];
         let bytes = encode(&records);
         assert_eq!(bytes.len(), 2 * RECORD_BYTES);
-        assert_eq!(decode(bytes).unwrap(), records);
+        assert_eq!(decode(&bytes).unwrap(), records);
+    }
+
+    /// Pins the on-disk format byte for byte: little-endian fields in
+    /// declaration order, no padding, no header.
+    #[test]
+    fn encoding_matches_golden_bytes() {
+        let records = [
+            TraceRecord {
+                at: SimTime(0x0102_0304_0506_0708),
+                class: 0x1112,
+                kind: 0x21,
+                coordinator: 0x3132,
+                payload: 0x4142_4344,
+            },
+            TraceRecord {
+                at: SimTime(12345),
+                class: 1,
+                kind: 1,
+                coordinator: 7,
+                payload: 10_000,
+            },
+        ];
+        let golden: [u8; 2 * RECORD_BYTES] = [
+            0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01, // at
+            0x12, 0x11, // class
+            0x21, // kind
+            0x32, 0x31, // coordinator
+            0x44, 0x43, 0x42, 0x41, // payload
+            0x39, 0x30, 0, 0, 0, 0, 0, 0, // at = 12345
+            0x01, 0x00, // class
+            0x01, // kind
+            0x07, 0x00, // coordinator
+            0x10, 0x27, 0x00, 0x00, // payload = 10000
+        ];
+        assert_eq!(encode(&records), golden);
+        assert_eq!(decode(&golden).unwrap(), records);
     }
 
     #[test]
@@ -128,7 +160,7 @@ mod tests {
             payload: 0,
         }];
         let bytes = encode(&records);
-        assert!(decode(bytes.slice(0..RECORD_BYTES - 1)).is_none());
+        assert!(decode(&bytes[..RECORD_BYTES - 1]).is_none());
     }
 
     #[test]
@@ -155,7 +187,7 @@ mod tests {
                 })
                 .collect();
             let bytes = encode(&records);
-            prop_assert_eq!(decode(bytes).unwrap(), records);
+            prop_assert_eq!(decode(&bytes).unwrap(), records);
         }
     }
 }

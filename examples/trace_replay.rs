@@ -24,7 +24,7 @@ fn main() {
         bytes.len() as f64 / records.len() as f64
     );
 
-    let decoded = decode(bytes).expect("codec round-trip");
+    let decoded = decode(&bytes).expect("codec round-trip");
     assert_eq!(decoded, records);
 
     // Basic statistics a replayer would sanity-check before a run.

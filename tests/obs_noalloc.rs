@@ -14,8 +14,8 @@
 //!
 //! Lives in its own integration-test binary because a
 //! `#[global_allocator]` is process-wide; the counts themselves are per
-//! thread. Simulations here run with `tick_threads`/`exec_threads` at 0,
-//! so all of their work happens on the measuring thread.
+//! thread. A simulation runs entirely on its calling thread, so the
+//! measuring thread sees all of its work.
 
 use parallel_lb::prelude::*;
 use simkit::alloc_audit::{self, CountingAlloc};
@@ -58,8 +58,6 @@ fn soak_cfg() -> SimConfig {
     )
     .with_seed(1)
     .with_sim_time(SimDur::from_millis(300), SimDur::from_millis(50))
-    .with_tick_threads(0)
-    .with_exec_threads(0)
 }
 
 /// The disabled trace layer adds zero allocations to the soak hot path:
